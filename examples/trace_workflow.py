@@ -10,8 +10,8 @@ Chrome trace for chrome://tracing or https://ui.perfetto.dev.
 Run:  python examples/trace_workflow.py
 """
 
-from repro.analysis.tracing import render_gantt
 from repro.api import run
+from repro.obs import render_gantt
 
 
 def main() -> None:
@@ -19,7 +19,7 @@ def main() -> None:
     record = result.record
     print(f"FINRA invocation: {record.latency_ns / 1e6:.2f} ms, "
           f"{record.result['total_violations']} violations\n")
-    print(render_gantt(result.tracer))
+    print(render_gantt(result.span_tree()))
     print("\nNote how the audit instances form one parallel band: "
           "their (de)serialization-free receives all map the same "
           "registered producer memory.")

@@ -183,21 +183,15 @@ def compare(baseline: Dict[str, Any], candidate: Dict[str, Any],
             ) -> RegressionReport:
     """Diff *candidate* against *baseline* within tolerance bands.
 
-    Raises ``ValueError`` when the snapshots were taken at different
-    operating points (seed / scale / schema) — such numbers are not
-    comparable and the gate refuses to guess.
+    Raises ``ValueError`` when either snapshot is not at the current
+    schema or the two were taken at different operating points (seed /
+    scale) — such numbers are not comparable and the gate refuses to
+    guess.
     """
-    from repro.bench.snapshot import SUPPORTED_VERSIONS
+    from repro.bench.snapshot import check_schema
 
-    versions = (baseline.get("schema_version"),
-                candidate.get("schema_version"))
-    if versions[0] != versions[1] and \
-            not all(v in SUPPORTED_VERSIONS for v in versions):
-        # v2 vs v3 is fine: v3 only adds the (skipped) ``wall`` section
-        raise ValueError(
-            f"snapshots disagree on schema_version: baseline "
-            f"{versions[0]!r} vs candidate {versions[1]!r}; re-run at "
-            f"the baseline's operating point")
+    check_schema(baseline, "baseline")
+    check_schema(candidate, "candidate")
     for key in ("seed", "scale"):
         if baseline.get(key) != candidate.get(key):
             raise ValueError(

@@ -44,15 +44,10 @@ from typing import Any, Dict, List, Optional, Sequence
 #: amplification, prefetch waste and duplicate pulls — all byte-exact
 #: functions of ``(code, seed, scale)``, held by the gate in both
 #: directions (a silent change in how many bytes a transport moves is a
-#: regression even when the nanoseconds stay put).
+#: regression even when the nanoseconds stay put).  Only this version is
+#: read (:func:`check_schema`): an older snapshot is re-taken, not
+#: compared.
 SCHEMA_VERSION = 5
-
-#: Versions :func:`load_snapshot` accepts; v2 snapshots lack the
-#: ``wall`` section, v3 lacks its per-subsystem subsections and v4
-#: lacks the ``lineage`` cells — absent leaves surface as "new"
-#: findings (not failures), so older baselines stay comparable against
-#: v5 candidates.
-SUPPORTED_VERSIONS = (2, 3, 4, 5)
 
 #: The fixed operating point snapshots are taken at (CI uses exactly this).
 DEFAULT_SEED = 0
@@ -236,14 +231,20 @@ def write_snapshot(snapshot: Dict[str, Any], path: str) -> None:
         fh.write("\n")
 
 
+def check_schema(snapshot: Dict[str, Any], source: str) -> None:
+    """Refuse a snapshot written under any schema but
+    :data:`SCHEMA_VERSION`; *source* names it in the error."""
+    version = snapshot.get("schema_version")
+    if version != SCHEMA_VERSION:
+        raise ValueError(
+            f"{source}: snapshot schema v{version!r}, this tool reads "
+            f"only v{SCHEMA_VERSION}; re-take the snapshot")
+
+
 def load_snapshot(path: str) -> Dict[str, Any]:
     with open(path, "r", encoding="utf-8") as fh:
         snapshot = json.load(fh)
-    version = snapshot.get("schema_version")
-    if version not in SUPPORTED_VERSIONS:
-        raise ValueError(
-            f"{path}: snapshot schema v{version!r}, this tool reads "
-            f"v{SUPPORTED_VERSIONS}")
+    check_schema(snapshot, path)
     return snapshot
 
 

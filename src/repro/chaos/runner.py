@@ -10,7 +10,6 @@ frame-leak audit that is the run's acceptance bar.
 
 from __future__ import annotations
 
-import warnings
 from typing import Callable, List, Optional
 
 from repro.analysis.chaos import (ChaosReport, audit_leaked_frames,
@@ -41,14 +40,7 @@ def default_transport() -> RmmapTransport:
     return get_transport("rmmap-prefetch", rpc_fallback=True)
 
 
-#: old positional order, kept for the deprecation shim
-_POSITIONAL_ORDER = ("seed", "requests", "n_machines", "schedule",
-                     "transport_factory", "policy", "scale", "lease_ns",
-                     "grace_ns", "scan_interval_ns", "monitor")
-
-
-def run_chaos_workflow(workload="ml-prediction",
-                       *args,
+def run_chaos_workflow(workload="ml-prediction", *,
                        seed: int = 0,
                        requests: int = 6,
                        n_machines: int = 6,
@@ -80,27 +72,9 @@ def run_chaos_workflow(workload="ml-prediction",
     *workload* may also be a :class:`repro.api.RunConfig`: its
     ``workload`` / ``transport`` / ``seed`` / ``scale`` / ``telemetry``
     / ``monitor`` fields apply and its ``chaos`` dict supplies the
-    remaining keywords.  Positional arguments beyond *workload* are
-    deprecated (keyword-only surface).
+    remaining keywords.  Every argument beyond *workload* is
+    keyword-only.
     """
-    if args:
-        warnings.warn(
-            "run_chaos_workflow positional arguments beyond workload "
-            "are deprecated; pass keywords or a RunConfig",
-            DeprecationWarning, stacklevel=2)
-        if len(args) > len(_POSITIONAL_ORDER):
-            raise TypeError(
-                f"run_chaos_workflow takes at most "
-                f"{1 + len(_POSITIONAL_ORDER)} positional arguments")
-        merged = {"seed": seed, "requests": requests,
-                  "n_machines": n_machines, "schedule": schedule,
-                  "transport_factory": transport_factory,
-                  "policy": policy, "scale": scale, "lease_ns": lease_ns,
-                  "grace_ns": grace_ns,
-                  "scan_interval_ns": scan_interval_ns,
-                  "monitor": monitor}
-        merged.update(zip(_POSITIONAL_ORDER, args))
-        return run_chaos_workflow(workload, **merged)
     if not isinstance(workload, str):
         from repro import obs
         from repro.api import (RunConfig, _resolve_hub, _resolve_monitor)

@@ -93,15 +93,9 @@ def diff_traces(baseline: SpanNode, candidate: SpanNode,
 
 
 def _entry_locations(entry: Dict[str, Any]) -> Dict[str, int]:
-    """``path_ns_by_location`` of one snapshot entry (v2), falling back
-    to the per-layer split (v1-era summaries) so old/new snapshots still
-    diff at reduced resolution."""
-    cp = entry.get("critical_path", {})
-    locations = cp.get("path_ns_by_location")
-    if locations:
-        return dict(locations)
-    return {f"*:{layer}/*": ns
-            for layer, ns in cp.get("path_ns_by_layer", {}).items()}
+    """``critical_path.path_ns_by_location`` of one snapshot entry."""
+    return dict(entry.get("critical_path", {})
+                .get("path_ns_by_location", {}))
 
 
 def diff_snapshots(baseline: Dict[str, Any], candidate: Dict[str, Any]

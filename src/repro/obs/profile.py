@@ -23,6 +23,9 @@ This module walks that tree three ways:
   and speedscope ingest), one frame per ``layer/name``, weighted by self
   time in nanoseconds.
 
+:func:`render_gantt` draws one invocation's function instances as a text
+timeline.
+
 Everything here is a pure function of recorded spans; instance indices
 (``#3`` suffixes) are normalized away for aggregation so parallel instances
 of one function fold together.
@@ -35,6 +38,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.telemetry import Telemetry
+from repro.units import to_ms
 
 #: ``name#3`` / ``name#3~retry`` instance suffixes fold into ``name``.
 _INSTANCE_SUFFIX = re.compile(r"#\d+(~retry)?$")
@@ -409,4 +413,31 @@ def render_report(report: Dict[str, Any], top: int = 12) -> str:
         rest_ns = sum(r["path_ns"] for r in rest)
         lines.append(f"{rest_ns / total:>6.1%}  {rest_ns / 1e6:>10.3f}  "
                      f"({len(rest)} more)")
+    return "\n".join(lines)
+
+
+def render_gantt(node: SpanNode, width: int = 60) -> str:
+    """A text Gantt chart of one invocation: its span, then its children
+    (the function instances) ordered by start.
+
+    *node* is the invocation span or the workflow root above it (what
+    :meth:`repro.api.RunResult.span_tree` returns); a root without an
+    invocation renders as ``"(no spans)"``.
+    """
+    if node.layer == "workflow":
+        if not node.children:
+            return "(no spans)"
+        node = node.children[0]
+    spans = [node] + sorted(node.children,
+                            key=lambda c: (c.start_ns, c.span_id))
+    t0 = min(s.start_ns for s in spans)
+    total = max(1, max(s.end_ns for s in spans) - t0)
+    label_w = max(len(s.name) for s in spans)
+    lines = []
+    for span in spans:
+        lo = int(width * (span.start_ns - t0) / total)
+        hi = max(lo + 1, int(width * (span.end_ns - t0) / total))
+        bar = " " * lo + "#" * (hi - lo)
+        lines.append(f"{span.name.ljust(label_w)} |{bar.ljust(width)}| "
+                     f"{to_ms(span.duration_ns):8.3f} ms")
     return "\n".join(lines)

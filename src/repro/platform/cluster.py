@@ -41,7 +41,6 @@ class ServerlessPlatform:
         self._coordinators: Dict[str, WorkflowCoordinator] = {}
         self._plans: Dict[str, VmPlan] = {}
         self._autoscalers: Dict[str, "Autoscaler"] = {}
-        self.tracer = None
 
     # -- deployment -------------------------------------------------------------
 
@@ -63,22 +62,12 @@ class ServerlessPlatform:
         plan = plan_workflow(workflow)
         coordinator = WorkflowCoordinator(self.engine, workflow, plan,
                                           self.scheduler, transport,
-                                          self.cost, tracer=self.tracer,
-                                          resilience=resilience,
+                                          self.cost, resilience=resilience,
                                           tenant=tenant,
                                           admission=admission)
         self._coordinators[workflow.name] = coordinator
         self._plans[workflow.name] = plan
         return coordinator
-
-    def enable_tracing(self) -> "Tracer":
-        """Turn on span tracing for all subsequently deployed workflows."""
-        from repro.analysis.tracing import Tracer
-        if self.tracer is None:
-            self.tracer = Tracer(True)
-            for coordinator in self._coordinators.values():
-                coordinator.tracer = self.tracer
-        return self.tracer
 
     def enable_autoscaler(self, workflow_name: str, **kwargs):
         """Attach a KPA-style, event-driven autoscaler to a deployed

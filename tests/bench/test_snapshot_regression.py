@@ -108,13 +108,6 @@ class TestSnapshot:
         with pytest.raises(ValueError, match="schema"):
             snapshot.load_snapshot(path2)
 
-    def test_load_accepts_v2_fallback(self, tmp_path):
-        path = str(tmp_path / "BENCH_3.json")
-        with open(path, "w") as fh:
-            json.dump({"schema_version": 2, "seed": 0, "scale": 0.05},
-                      fh)
-        assert snapshot.load_snapshot(path)["schema_version"] == 2
-
     def test_next_snapshot_path_picks_free_slot(self, tmp_path):
         d = str(tmp_path)
         assert snapshot.next_snapshot_path(d).endswith("BENCH_0.json")
@@ -206,15 +199,20 @@ class TestRegressionGate:
         better["wall"]["engine"]["events_per_sec"] *= 100
         assert regression.compare(snap, better).ok
 
-    def test_v2_baseline_compares_against_v4_candidate(self, snap):
-        old = json.loads(json.dumps(snap))
-        old["schema_version"] = 2
-        del old["wall"]
-        report = regression.compare(old, snap)
-        assert report.ok and report.compared > 0
-        # the wall rates show up as new metrics, not failures
-        assert any(f.metric.startswith("wall.")
-                   for f in report.new_metrics)
+    @pytest.mark.parametrize("versions", [(4, snapshot.SCHEMA_VERSION),
+                                          (99, 99)],
+                             ids=["v4-vs-current", "99-vs-99"])
+    def test_only_the_current_schema_is_read(self, snap, tmp_path,
+                                             versions):
+        """Both entry points refuse any schema but the current one, even
+        when the two sides agree on it."""
+        base, cand = (dict(snap, schema_version=v) for v in versions)
+        with pytest.raises(ValueError, match="schema"):
+            regression.compare(base, cand)
+        path = str(tmp_path / "BENCH_9.json")
+        snapshot.write_snapshot(base, path)
+        with pytest.raises(ValueError, match="schema"):
+            snapshot.load_snapshot(path)
 
     def test_mismatched_operating_point_refused(self, snap):
         cand = json.loads(json.dumps(snap))

@@ -119,16 +119,6 @@ class TestDiffSnapshots:
         with pytest.raises(ValueError):
             diff_snapshots(wordcount_snapshot, cand)
 
-    def test_v1_fallback_diffs_by_layer(self):
-        def snap(mem_ns):
-            return {"workloads": {"w": {"t": {
-                "e2e_ns": 100 + mem_ns,
-                "critical_path": {"path_ns_by_layer": {
-                    "mem": mem_ns, "net.rdma": 100}}}}}}
-        report = diff_snapshots(snap(50), snap(80))
-        assert report["rows"][0]["location"] == "*:mem/*"
-        assert report["rows"][0]["delta_ns"] == 30
-
     def test_gate_failure_attaches_diff(self, wordcount_snapshot,
                                         tmp_path):
         cand, victim = self._slowed(wordcount_snapshot)

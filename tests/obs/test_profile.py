@@ -14,9 +14,11 @@ import pytest
 from repro.api import run
 from repro.obs import (Telemetry, build_span_tree, critical_path,
                        critical_path_report, folded_stacks, parse_folded,
-                       render_report, to_chrome_trace, trace_ids)
+                       render_gantt, render_report, to_chrome_trace,
+                       trace_ids)
 from repro.obs.profile import (SpanNode, attribute, normalize_name,
                                self_time_ns)
+from repro.units import to_ms
 
 SCALE = 0.05
 
@@ -219,8 +221,7 @@ class TestEndToEnd:
 
     def test_chrome_export_carries_flow_arrows(self, paired):
         _, _, profiled = paired
-        trace = to_chrome_trace(profiled.telemetry,
-                                tracer=profiled.tracer)
+        trace = to_chrome_trace(profiled.telemetry)
         flows = [e for e in trace["traceEvents"]
                  if e.get("cat") == "flow"]
         starts = {e["id"] for e in flows if e["ph"] == "s"}
@@ -301,3 +302,37 @@ class TestSamplingDiagnostic:
             _Result(dropped).flamegraph()
         # a hub that truly saw no spans still yields the empty string
         assert _Result(Telemetry()).flamegraph() == ""
+
+
+class TestRenderGantt:
+    def test_render_gantt_shape(self):
+        inv = _node("platform", "wf#0", 0, 4_000_000, 1)
+        inv.children = [_node("platform", "second", 1_000_000, 4_000_000,
+                              3, 1),
+                        _node("platform", "first", 0, 2_000_000, 2, 1)]
+        lines = render_gantt(inv, width=20).splitlines()
+        assert [line.split()[0] for line in lines] == \
+            ["wf#0", "first", "second"]
+        bars = [line.split("|")[1] for line in lines]
+        assert bars == ["#" * 20, "#" * 10 + " " * 10,
+                        " " * 5 + "#" * 15]
+        assert lines[1].endswith("|    2.000 ms")
+
+    def test_root_without_invocation_has_no_spans(self):
+        assert render_gantt(_node("workflow", "wf", 0, 100, 1)) \
+            == "(no spans)"
+
+    def test_finra_rows_are_the_measured_instance_spans(self):
+        result = run("finra", transport="rmmap-prefetch", scale=0.1,
+                     telemetry=True)
+        record = result.record
+        rows = [(line.split(" |")[0].rstrip(),
+                 line.rsplit("|", 1)[1].split()[0])
+                for line in render_gantt(result.span_tree()).splitlines()]
+        instances = [(f"{f.function}#{f.index}",
+                      f"{to_ms(f.end_ns - f.start_ns):.3f}")
+                     for f in record.functions]
+        assert len(rows) == 24
+        assert rows[0] == (f"finra#{record.request_id}",
+                           f"{to_ms(record.latency_ns):.3f}")
+        assert sorted(rows[1:]) == sorted(instances)

@@ -1,81 +1,40 @@
-"""Tests for the KPA-style autoscaler and span tracing."""
+"""Tests for the KPA-style autoscaler and the platform's hub spans."""
 
-import pytest
-
-from repro.analysis.tracing import Tracer, render_gantt
+from repro.obs import build_span_tree, capture, render_gantt
 from repro.platform.cluster import ServerlessPlatform
 from repro.transfer import MessagingTransport
 
 from .test_execution import make_fanout_workflow, make_linear_workflow
 
 
-# --- tracer unit tests -----------------------------------------------------------
-
-def test_span_lifecycle():
-    tracer = Tracer()
-    span = tracer.begin("work", 100, foo="bar")
-    assert not span.finished
-    with pytest.raises(ValueError):
-        _ = span.duration_ns
-    tracer.end(span, 250)
-    assert span.duration_ns == 150
-    assert span.attributes == {"foo": "bar"}
-
-
-def test_disabled_tracer_is_noop():
-    tracer = Tracer(enabled=False)
-    span = tracer.begin("x", 0)
-    assert span is None
-    tracer.end(span, 10)  # no crash
-    assert tracer.spans == []
-
-
-def test_by_name_prefix_filter():
-    tracer = Tracer()
-    for name in ("f#0", "f#1", "g#0"):
-        tracer.end(tracer.begin(name, 0), 1)
-    assert len(tracer.by_name("f#")) == 2
-
-
-def test_render_gantt_shape():
-    tracer = Tracer()
-    tracer.end(tracer.begin("first", 0), 500)
-    tracer.end(tracer.begin("second", 250), 1000)
-    chart = render_gantt(tracer, width=20)
-    lines = chart.splitlines()
-    assert len(lines) == 2
-    assert lines[0].startswith("first")
-    assert "#" in lines[0]
-    assert render_gantt(Tracer()) == "(no spans)"
-
-
-# --- tracing integrated with the platform ----------------------------------------------
+# --- platform spans on the telemetry hub ----------------------------------------------
 
 def test_platform_tracing_captures_function_spans():
-    platform = ServerlessPlatform(n_machines=2)
-    tracer = platform.enable_tracing()
-    platform.deploy(make_linear_workflow(), MessagingTransport())
-    record = platform.run_once("linear", {"n": 50})
-    inv_spans = tracer.by_name("linear#")
-    assert len(inv_spans) == 1
-    assert inv_spans[0].duration_ns == record.latency_ns
-    fn_spans = [s for s in tracer.finished_spans()
-                if s.parent == inv_spans[0].name]
+    with capture() as hub:
+        platform = ServerlessPlatform(n_machines=2)
+        platform.deploy(make_linear_workflow(), MessagingTransport())
+        record = platform.run_once("linear", {"n": 50})
+    root = build_span_tree(hub)
+    assert root.layer == "workflow" and len(root.children) == 1
+    inv = root.children[0]
+    assert inv.name == f"linear#{record.request_id}"
+    assert inv.duration_ns == record.latency_ns
+    fn_spans = [c for c in inv.children if c.layer == "platform"]
     assert {s.name.split("#")[0] for s in fn_spans} == \
         {"produce", "square", "total"}
     # function spans nest within the invocation span
     for s in fn_spans:
-        assert inv_spans[0].start_ns <= s.start_ns
-        assert s.end_ns <= inv_spans[0].end_ns
-    assert "#" in render_gantt(tracer)
+        assert inv.start_ns <= s.start_ns
+        assert s.end_ns <= inv.end_ns
+    assert "#" in render_gantt(root)
 
 
 def test_tracing_enabled_after_deploy_applies():
     platform = ServerlessPlatform(n_machines=2)
     platform.deploy(make_linear_workflow(), MessagingTransport())
-    tracer = platform.enable_tracing()
-    platform.run_once("linear", {"n": 10})
-    assert tracer.finished_spans()
+    with capture() as hub:
+        platform.run_once("linear", {"n": 10})
+    assert build_span_tree(hub).children
 
 
 # --- autoscaler -----------------------------------------------------------------------

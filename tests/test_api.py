@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.api import RunResult, run, workloads
+from repro.chaos.runner import run_chaos_workflow
 from repro.obs import to_chrome_trace_json
 from repro.transfer import get_transport, list_transports
 from repro.transfer.base import StateTransport
@@ -49,6 +50,16 @@ def test_get_transport_forwards_options():
 def test_workloads_lists_the_four_figures_workflows():
     assert workloads() == ["finra", "ml-prediction", "ml-training",
                            "wordcount"]
+
+
+@pytest.mark.parametrize("facade, args", [
+    (run, ("wordcount", "rmmap")),
+    (run_chaos_workflow, ("ml-prediction", 0)),
+], ids=["run", "run_chaos_workflow"])
+def test_facades_reject_positional_arguments(facade, args):
+    """Everything beyond the workload is keyword-only."""
+    with pytest.raises(TypeError):
+        facade(*args)
 
 
 def test_run_rejects_unknown_workload():
@@ -101,8 +112,8 @@ def test_same_seed_same_telemetry():
             telemetry=True)
     assert (a.telemetry.snapshot(deterministic=True)
             == b.telemetry.snapshot(deterministic=True))
-    assert (to_chrome_trace_json(a.telemetry, tracer=a.tracer)
-            == to_chrome_trace_json(b.telemetry, tracer=b.tracer))
+    assert (to_chrome_trace_json(a.telemetry)
+            == to_chrome_trace_json(b.telemetry))
 
 
 def test_run_accepts_transport_instance_and_param_overrides():

@@ -1,10 +1,10 @@
 """The run façade: one call from workload name to results.
 
 Every entry point into the repro — CLI experiments, examples, notebooks,
-chaos drills — ultimately does the same dance: build a seeded platform,
+benchmarks — ultimately does the same dance: build a seeded platform,
 deploy a workflow bound to a transport, pre-warm, invoke, and collect the
 record.  :func:`run` is that dance behind one signature, with telemetry
-(:mod:`repro.obs`) and chaos (:mod:`repro.chaos`) as opt-in knobs:
+(:mod:`repro.obs`) as an opt-in knob:
 
 >>> from repro.api import run
 >>> result = run("wordcount", transport="rmmap-prefetch", scale=0.05,
@@ -14,16 +14,11 @@ record.  :func:`run` is that dance behind one signature, with telemetry
 >>> sorted(result.telemetry.layers())
 ['kernel', 'mem', 'net.rdma', 'net.rpc', 'platform', 'sim.engine']
 
-A :class:`RunConfig` names the same knobs as one frozen, reusable value
-accepted by all three facades — :func:`run`, :func:`run_fleet` and
-:func:`repro.chaos.runner.run_chaos_workflow`:
+Every argument beyond *workload* is a keyword.  Chaos drills go through
+:func:`repro.chaos.runner.run_chaos_workflow`; wrap the call in
+``obs.capture(hub)`` to collect its telemetry or lineage.
 
->>> cfg = RunConfig(workload="wordcount", transport="rmmap-prefetch",
-...                 scale=0.05, telemetry=True)
->>> run(cfg).latency_ms
-13.5...
-
-The non-chaos path reproduces the bench harness
+:func:`run` reproduces the bench harness
 (:func:`repro.bench.figures_workflow.run_workflow_once`) exactly at
 ``seed=0``: same platform shape, same pre-warm, same ledger charges — so
 figures computed either way agree to the nanosecond.
@@ -31,6 +26,7 @@ figures computed either way agree to the nanosecond.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 from dataclasses import dataclass, field
@@ -46,53 +42,6 @@ def workloads() -> list:
     """Names accepted as :func:`run`'s *workload* argument, sorted."""
     from repro.bench.figures_workflow import workflow_configs
     return sorted(workflow_configs(1.0))
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One frozen description of a run, shared by every façade.
-
-    :func:`run` consumes the single-invocation knobs,
-    :func:`repro.chaos.runner.run_chaos_workflow` the chaos ones, and
-    :func:`run_fleet` the fleet ones — so one config value can drive a
-    plain run, its chaos drill, and the fleet campaign around it.
-    Derive variants with :meth:`replace` (hashable, reusable, safe to
-    share across threads and sweeps).
-    """
-
-    workload: str = "wordcount"
-    transport: Union[str, StateTransport] = "rmmap"
-    seed: int = 0
-    scale: Optional[float] = None
-    #: kwargs for :func:`repro.chaos.runner.run_chaos_workflow`
-    #: (``requests``, ``schedule``, ``policy``...); non-None selects the
-    #: chaos path exactly like ``run(..., chaos={...})``
-    chaos: Optional[Dict[str, Any]] = None
-    telemetry: Union[None, bool, "obs.Telemetry"] = None
-    monitor: Union[None, bool, "obs.FleetMonitor"] = None
-    #: collect the causal span profile (implies a telemetry hub)
-    profile: bool = False
-    #: track page-provenance lineage (implies a telemetry hub); the
-    #: report comes back via ``RunResult.lineage()``
-    lineage: bool = False
-    params: Optional[Dict[str, Any]] = None
-    n_machines: int = 10
-    prewarm: bool = True
-    transport_opts: Optional[Dict[str, Any]] = None
-    # -- fleet knobs (run_fleet) ------------------------------------------
-    tenants: Optional[Tuple] = None
-    n_shards: int = 4
-    duration_s: float = 10.0
-    smoke: bool = False
-    #: scale-up mechanism for fleet shards: ``"cold"``, ``"prewarm"`` or
-    #: ``"fork"`` (see :mod:`repro.fork`); None keeps the legacy model
-    #: and byte-identical fleet JSON
-    scale_up: Optional[str] = None
-
-    def replace(self, **changes) -> "RunConfig":
-        """A copy with *changes* applied (frozen dataclasses are
-        immutable)."""
-        return dataclasses.replace(self, **changes)
 
 
 class BaseRunResult:
@@ -188,16 +137,13 @@ class RunResult(BaseRunResult):
     workload: str
     transport: str
     seed: int
-    record: Optional[InvocationRecord] = None
+    record: InvocationRecord
     telemetry: Optional["obs.Telemetry"] = None
-    chaos_report: Any = None
     monitor: Optional["obs.FleetMonitor"] = None
     params: Dict[str, Any] = field(default_factory=dict)
 
     @property
     def latency_ns(self) -> int:
-        if self.record is None:
-            raise ValueError("chaos runs report latency via chaos_report")
         return self.record.latency_ns
 
     @property
@@ -206,16 +152,12 @@ class RunResult(BaseRunResult):
 
     def stage_totals(self) -> Dict[str, int]:
         """Fig 11 transform / network / reconstruct totals (ns)."""
-        if self.record is None:
-            raise ValueError("chaos runs do not keep a single record")
         return self.record.stage_totals()
 
     @property
     def trace_id(self) -> str:
         """The measured invocation's causal-trace id (prewarm invocations
         carry their own id and never pollute the profiled tree)."""
-        if self.record is None:
-            raise ValueError("chaos runs do not keep a single record")
         return (f"{self.record.workflow}#{self.record.request_id}"
                 f"@{self.transport}")
 
@@ -245,17 +187,13 @@ class RunResult(BaseRunResult):
 
     def to_dict(self) -> Dict[str, Any]:
         """The JSON-stable view of this run (no hub internals)."""
-        out: Dict[str, Any] = {
+        return {
             "workload": self.workload,
             "transport": self.transport,
             "seed": self.seed,
+            "latency_ns": self.record.latency_ns,
+            "stage_totals": self.record.stage_totals(),
         }
-        if self.record is not None:
-            out["latency_ns"] = self.record.latency_ns
-            out["stage_totals"] = self.record.stage_totals()
-        if self.chaos_report is not None:
-            out["chaos"] = self.chaos_report.to_dict()
-        return out
 
     def diff(self, other: "RunResult") -> Dict[str, Any]:
         """Root-cause *other* against this run (this run is the
@@ -292,10 +230,9 @@ def _resolve_monitor(monitor) -> Optional["obs.FleetMonitor"]:
     return monitor
 
 
-def run(workload: Union[str, RunConfig], *,
+def run(workload: str, *,
         transport: Union[str, StateTransport] = "rmmap",
         seed: int = 0, scale: Optional[float] = None,
-        chaos: Optional[Dict[str, Any]] = None,
         telemetry: Union[None, bool, "obs.Telemetry"] = None,
         monitor: Union[None, bool, "obs.FleetMonitor"] = None,
         profile: bool = False, lineage: bool = False,
@@ -305,8 +242,7 @@ def run(workload: Union[str, RunConfig], *,
     """Run one workflow invocation end to end and return the results.
 
     *workload* is a name from :func:`workloads` (``finra``,
-    ``ml-training``, ``ml-prediction``, ``wordcount``) — or a
-    :class:`RunConfig` carrying every knob at once.  *transport* is a
+    ``ml-training``, ``ml-prediction``, ``wordcount``).  *transport* is a
     registry name (see :func:`repro.transfer.list_transports`) or a
     ready-made :class:`StateTransport`; it is keyword-only.
     *scale* shrinks the paper-scale inputs (default: the
@@ -321,12 +257,6 @@ def run(workload: Union[str, RunConfig], *,
     ``RunResult.write_trace(path)`` exports it for ``chrome://tracing`` /
     Perfetto.  Telemetry observes the clock only: ledger charges and
     Fig 11 stage totals are bit-identical with it on or off.
-
-    ``chaos={...}`` runs the workload under a seeded fault schedule
-    instead (kwargs forwarded to
-    :func:`repro.chaos.runner.run_chaos_workflow`, e.g. ``requests``,
-    ``schedule``, ``policy``); the report lands on
-    ``RunResult.chaos_report``.
 
     ``monitor=True`` (or an existing :class:`~repro.obs.FleetMonitor`)
     attaches streaming SLO monitoring to the hub for the duration of the
@@ -343,22 +273,9 @@ def run(workload: Union[str, RunConfig], *,
     """
     from repro.bench.figures_workflow import (_light_params,
                                               workflow_configs)
+    from repro.platform.cluster import ServerlessPlatform
+    from repro.sim.rng import make_rng
 
-    if isinstance(workload, RunConfig):
-        cfg = workload
-        workload = cfg.workload
-        transport = cfg.transport
-        seed = cfg.seed
-        scale = cfg.scale
-        chaos = cfg.chaos
-        telemetry = cfg.telemetry
-        monitor = cfg.monitor
-        profile = cfg.profile
-        lineage = cfg.lineage
-        params = cfg.params
-        n_machines = cfg.n_machines
-        prewarm = cfg.prewarm
-        transport_opts = cfg.transport_opts
     if (profile or lineage) and (telemetry is None or telemetry is False):
         telemetry = True
 
@@ -380,27 +297,10 @@ def run(workload: Union[str, RunConfig], *,
     if mon is not None:
         mon.attach(hub)
     try:
-        if chaos is not None:
-            from repro.chaos.runner import run_chaos_workflow
-            transport_obj = _resolve_transport(transport,
-                                               **(transport_opts or {}))
-            kwargs = dict(chaos)
-            kwargs.setdefault("transport_factory", lambda: transport_obj)
-            with obs.capture(hub) if hub is not None else _noop():
-                report = run_chaos_workflow(workload=workload, seed=seed,
-                                            scale=scale, **kwargs)
-            return RunResult(workload=workload,
-                             transport=transport_obj.name,
-                             seed=seed, telemetry=hub,
-                             chaos_report=report, monitor=mon,
-                             params=merged)
-
-        from repro.platform.cluster import ServerlessPlatform
-        from repro.sim.rng import make_rng
-
         transport_obj = _resolve_transport(transport,
                                            **(transport_opts or {}))
-        with obs.capture(hub) if hub is not None else _noop():
+        with (obs.capture(hub) if hub is not None
+              else contextlib.nullcontext()):
             platform = ServerlessPlatform(n_machines=n_machines,
                                           rng=make_rng(seed))
             workflow = builder()
@@ -427,12 +327,12 @@ def run_fleet(spec=None, *, seed: int = 0, tenants=None,
     """Run a multi-tenant fleet simulation and return a
     :class:`~repro.fleet.runner.FleetResult`.
 
-    Either pass a ready-made :class:`~repro.fleet.runner.FleetSpec` (or
-    a :class:`RunConfig` — its fleet knobs apply) as *spec*, or let this
-    façade assemble one: ``smoke=True`` gives the small CI configuration
-    (:func:`~repro.fleet.runner.smoke_spec`); otherwise *tenants*
-    (default: :func:`~repro.fleet.traffic.default_tenants` of eight),
-    *n_shards*, *duration_s* and any other :class:`FleetSpec` field via
+    Either pass a ready-made :class:`~repro.fleet.runner.FleetSpec` as
+    *spec*, or let this façade assemble one: ``smoke=True`` gives the
+    small CI configuration (:func:`~repro.fleet.runner.smoke_spec`);
+    otherwise *tenants* (default:
+    :func:`~repro.fleet.traffic.default_tenants` of eight), *n_shards*,
+    *duration_s* and any other :class:`FleetSpec` field via
     ``**kwargs``.  ``telemetry`` / ``monitor`` share an existing hub or
     monitor with the run (fresh ones are created by default).  Same spec
     + same seed → byte-identical ``FleetResult.to_json()``.
@@ -440,21 +340,6 @@ def run_fleet(spec=None, *, seed: int = 0, tenants=None,
     from repro.fleet import (FleetSpec, default_tenants,
                              run_fleet as _run_fleet, smoke_spec)
 
-    if isinstance(spec, RunConfig):
-        cfg = spec
-        if tenants is not None or kwargs or smoke or scale_up:
-            raise ValueError("pass either a RunConfig or assembly "
-                             "kwargs, not both")
-        seed = cfg.seed
-        tenants = list(cfg.tenants) if cfg.tenants is not None else None
-        n_shards = cfg.n_shards
-        duration_s = cfg.duration_s
-        smoke = cfg.smoke
-        scale_up = cfg.scale_up
-        telemetry = cfg.telemetry
-        monitor = cfg.monitor
-        lineage = cfg.lineage
-        spec = None
     if spec is None:
         if scale_up is not None:
             from repro.fork import ScaleUpConfig
@@ -482,13 +367,3 @@ def run_fleet(spec=None, *, seed: int = 0, tenants=None,
         else:
             hub.enable_lineage()
     return _run_fleet(spec, hub=hub, monitor=mon)
-
-
-class _noop:
-    """Stand-in context manager when telemetry is off."""
-
-    def __enter__(self):
-        return None
-
-    def __exit__(self, *exc):
-        return False

@@ -10,8 +10,10 @@ frame-leak audit that is the run's acceptance bar.
 
 from __future__ import annotations
 
+import contextlib
 from typing import Callable, List, Optional
 
+from repro import obs
 from repro.analysis.chaos import (ChaosReport, audit_leaked_frames,
                                   latency_stats_ms)
 from repro.chaos.injector import FaultInjector
@@ -69,174 +71,138 @@ def run_chaos_workflow(workload="ml-prediction", *,
     simulated timestamps.  Monitoring is a pure observer — the
     ChaosReport fingerprint is identical with it on or off.
 
-    *workload* may also be a :class:`repro.api.RunConfig`: its
-    ``workload`` / ``transport`` / ``seed`` / ``scale`` / ``telemetry``
-    / ``monitor`` fields apply and its ``chaos`` dict supplies the
-    remaining keywords.  Every argument beyond *workload* is
-    keyword-only.
+    Every argument beyond *workload* is keyword-only.  To collect
+    telemetry or lineage, wrap the call in ``obs.capture(hub)``.
     """
-    if not isinstance(workload, str):
-        from repro import obs
-        from repro.api import (RunConfig, _resolve_hub, _resolve_monitor)
-        if not isinstance(workload, RunConfig):
-            raise TypeError(f"workload must be a name or RunConfig, "
-                            f"got {workload!r}")
-        cfg = workload
-        kwargs: dict = {"seed": cfg.seed, "scale": cfg.scale,
-                        "monitor": _resolve_monitor(cfg.monitor)}
-        transport_obj = (get_transport(cfg.transport,
-                                       **(cfg.transport_opts or {}))
-                         if isinstance(cfg.transport, str)
-                         else cfg.transport)
-        kwargs["transport_factory"] = lambda: transport_obj
-        kwargs.update(cfg.chaos or {})
-        hub = _resolve_hub(cfg.telemetry)
-        if hub is None and cfg.profile:
-            hub = obs.Telemetry()
-        if hub is not None:
-            with obs.capture(hub):
-                return run_chaos_workflow(cfg.workload, **kwargs)
-        return run_chaos_workflow(cfg.workload, **kwargs)
-    if monitor is not None:
-        from repro import obs
-        hub = obs.current()
-        if hub is None:
-            with obs.capture() as hub:
-                return run_chaos_workflow(
-                    workload, seed=seed, requests=requests,
-                    n_machines=n_machines, schedule=schedule,
-                    transport_factory=transport_factory, policy=policy,
-                    scale=scale, lease_ns=lease_ns, grace_ns=grace_ns,
-                    scan_interval_ns=scan_interval_ns, monitor=monitor)
-        monitor.attach(hub)
-        try:
-            return run_chaos_workflow(
-                workload, seed=seed, requests=requests,
-                n_machines=n_machines, schedule=schedule,
-                transport_factory=transport_factory, policy=policy,
-                scale=scale, lease_ns=lease_ns, grace_ns=grace_ns,
-                scan_interval_ns=scan_interval_ns)
-        finally:
-            monitor.detach()
     from repro.bench.figures_workflow import (_light_params,
                                               workflow_configs)
     from repro.platform.cluster import ServerlessPlatform
 
-    configs = workflow_configs(scale)
-    if workload not in configs:
-        raise ValueError(f"unknown workload {workload!r}; "
-                         f"pick one of {sorted(configs)}")
-    builder, params = configs[workload]
-    rng = SeededRng(seed)
+    with contextlib.ExitStack() as stack:
+        if monitor is not None:
+            hub = obs.current()
+            if hub is None:
+                hub = stack.enter_context(obs.capture())
+            monitor.attach(hub)
+            # registered last, so it runs first: detach before the
+            # capture above ends
+            stack.callback(monitor.detach)
 
-    platform = ServerlessPlatform(n_machines=n_machines, rng=rng.fork(1))
-    engine = platform.engine
-    if policy is None:
-        policy = ResiliencePolicy(rng=rng.fork(2))
-    transport = (transport_factory() if transport_factory is not None
-                 else default_transport())
-    workflow = builder()
-    coordinator = platform.deploy(workflow, transport, resilience=policy)
-    platform.prewarm(workflow.name, _light_params(params))
-    coordinator.stats.events.clear()  # prewarm noise is not chaos signal
+        configs = workflow_configs(scale)
+        if workload not in configs:
+            raise ValueError(f"unknown workload {workload!r}; "
+                             f"pick one of {sorted(configs)}")
+        builder, params = configs[workload]
+        rng = SeededRng(seed)
 
-    # measure one clean invocation to size the issue window, then derive
-    # the fault schedule across it
-    probe = platform.run_once(workflow.name, params)
-    gap_ns = max(ms(1), probe.latency_ns // 2)
-    start_ns = engine.now
-    horizon_ns = max(ms(10), requests * gap_ns + probe.latency_ns)
-    macs = [m.mac_addr for m in platform.machines]
-    if schedule is None:
-        schedule = random_schedule(macs, rng.fork(3),
-                                   horizon_ns=horizon_ns, start_ns=start_ns)
-    elif callable(schedule):
-        # targeted scenarios (tests, demos): the factory sees the actual
-        # issue window, so faults can be placed mid-flight precisely
-        schedule = schedule(macs, start_ns, horizon_ns)
-    injector = FaultInjector.for_platform(platform).arm(schedule)
+        platform = ServerlessPlatform(n_machines=n_machines, rng=rng.fork(1))
+        engine = platform.engine
+        if policy is None:
+            policy = ResiliencePolicy(rng=rng.fork(2))
+        transport = (transport_factory() if transport_factory is not None
+                     else default_transport())
+        workflow = builder()
+        coordinator = platform.deploy(workflow, transport, resilience=policy)
+        platform.prewarm(workflow.name, _light_params(params))
+        coordinator.stats.events.clear()  # prewarm noise is not chaos signal
 
-    # one lease scanner per machine: the decentralized reclamation
-    # fallback that survives coordinator loss (Section 4.2).  Spawned
-    # after the probe — they never exit, so an unbounded engine.run()
-    # (as run_once uses) would spin forever once they exist.
-    reclaimed: List[str] = []
+        # measure one clean invocation to size the issue window, then derive
+        # the fault schedule across it
+        probe = platform.run_once(workflow.name, params)
+        gap_ns = max(ms(1), probe.latency_ns // 2)
+        start_ns = engine.now
+        horizon_ns = max(ms(10), requests * gap_ns + probe.latency_ns)
+        macs = [m.mac_addr for m in platform.machines]
+        if schedule is None:
+            schedule = random_schedule(macs, rng.fork(3),
+                                       horizon_ns=horizon_ns, start_ns=start_ns)
+        elif callable(schedule):
+            # targeted scenarios (tests, demos): the factory sees the actual
+            # issue window, so faults can be placed mid-flight precisely
+            schedule = schedule(macs, start_ns, horizon_ns)
+        injector = FaultInjector.for_platform(platform).arm(schedule)
 
-    def on_reclaim(mac: str, fids: List[str]) -> None:
-        reclaimed.append(f"{engine.now} lease-reclaim {mac} "
-                         f"{len(fids)} registrations")
+        # one lease scanner per machine: the decentralized reclamation
+        # fallback that survives coordinator loss (Section 4.2).  Spawned
+        # after the probe — they never exit, so an unbounded engine.run()
+        # (as run_once uses) would spin forever once they exist.
+        reclaimed: List[str] = []
 
-    scanners = [engine.spawn(
-        machine.kernel.lease_scanner(scan_interval_ns, lease_ns, grace_ns,
-                                     on_reclaim=on_reclaim),
-        name=f"lease-scan@{machine.mac_addr}")
-        for machine in platform.machines]
+        def on_reclaim(mac: str, fids: List[str]) -> None:
+            reclaimed.append(f"{engine.now} lease-reclaim {mac} "
+                             f"{len(fids)} registrations")
 
-    report = ChaosReport(workflow=workflow.name, seed=seed,
-                         transport=transport.name,
-                         invocations=requests,
-                         faults_injected=schedule.describe())
+        scanners = [engine.spawn(
+            machine.kernel.lease_scanner(scan_interval_ns, lease_ns, grace_ns,
+                                         on_reclaim=on_reclaim),
+            name=f"lease-scan@{machine.mac_addr}")
+            for machine in platform.machines]
 
-    latencies: List[int] = []
-    failures: List[str] = []
+        report = ChaosReport(workflow=workflow.name, seed=seed,
+                             transport=transport.name,
+                             invocations=requests,
+                             faults_injected=schedule.describe())
 
-    def watch(proc):
-        try:
-            record = yield proc
-            latencies.append(record.latency_ns)
-            report.completed += 1
-        except Exception as err:  # noqa: BLE001 - availability accounting
-            failures.append(f"{engine.now} invocation lost to "
-                            f"{type(err).__name__}")
-            report.failed += 1
+        latencies: List[int] = []
+        failures: List[str] = []
 
-    def client():
-        watchers = []
-        for _ in range(requests):
-            watchers.append(engine.spawn(
-                watch(coordinator.invoke(params)), name="watch"))
-            yield Timeout(gap_ns)
-        for watcher in watchers:
-            yield watcher
+        def watch(proc):
+            try:
+                record = yield proc
+                latencies.append(record.latency_ns)
+                report.completed += 1
+            except Exception as err:  # noqa: BLE001 - availability accounting
+                failures.append(f"{engine.now} invocation lost to "
+                                f"{type(err).__name__}")
+                report.failed += 1
 
-    client_proc = engine.spawn(client(), name="chaos-client")
-    while not client_proc.triggered:
-        before = engine.now
-        engine.run(until=engine.now + seconds(1))
-        if engine.now == before:
-            raise SimulationError("chaos client deadlocked "
-                                  "(event queue drained)")
-        if engine.now >= MAX_SIM_NS:
-            raise SimulationError("chaos run exceeded simulated-time "
-                                  "budget; likely deadlocked")
+        def client():
+            watchers = []
+            for _ in range(requests):
+                watchers.append(engine.spawn(
+                    watch(coordinator.invoke(params)), name="watch"))
+                yield Timeout(gap_ns)
+            for watcher in watchers:
+                yield watcher
 
-    # let the lease scanners sweep any orphans, then retire them
-    engine.run(until=engine.now + lease_ns + grace_ns
-               + 3 * scan_interval_ns)
-    for scanner in scanners:
-        scanner.interrupt()
-    engine.run(until=engine.now)
+        client_proc = engine.spawn(client(), name="chaos-client")
+        while not client_proc.triggered:
+            before = engine.now
+            engine.run(until=engine.now + seconds(1))
+            if engine.now == before:
+                raise SimulationError("chaos client deadlocked "
+                                      "(event queue drained)")
+            if engine.now >= MAX_SIM_NS:
+                raise SimulationError("chaos run exceeded simulated-time "
+                                      "budget; likely deadlocked")
 
-    stats = coordinator.stats
-    report.retries = stats.retries
-    report.fallbacks = stats.fallbacks
-    report.reexecutions = stats.reexecutions
-    report.failovers = stats.failovers
-    report.breaker_trips = stats.breaker_trips
+        # let the lease scanners sweep any orphans, then retire them
+        engine.run(until=engine.now + lease_ns + grace_ns
+                   + 3 * scan_interval_ns)
+        for scanner in scanners:
+            scanner.interrupt()
+        engine.run(until=engine.now)
 
-    containers = platform.scheduler.pooled_containers()
-    leaks = audit_leaked_frames(platform.machines, containers)
-    report.leaked_frames = sum(leaks.values())
-    report.live_registrations = sum(
-        sum(1 for reg in machine.kernel.registry.all()
-            if not reg.deregistered)
-        for machine in platform.machines if machine.alive)
+        stats = coordinator.stats
+        report.retries = stats.retries
+        report.fallbacks = stats.fallbacks
+        report.reexecutions = stats.reexecutions
+        report.failovers = stats.failovers
+        report.breaker_trips = stats.breaker_trips
 
-    lat = latency_stats_ms(latencies)
-    report.mean_latency_ms = lat["mean"]
-    report.p99_latency_ms = lat["p99"]
+        containers = platform.scheduler.pooled_containers()
+        leaks = audit_leaked_frames(platform.machines, containers)
+        report.leaked_frames = sum(leaks.values())
+        report.live_registrations = sum(
+            sum(1 for reg in machine.kernel.registry.all()
+                if not reg.deregistered)
+            for machine in platform.machines if machine.alive)
 
-    trace = injector.trace + stats.events + reclaimed + failures
-    trace.sort(key=lambda line: (int(line.split(" ", 1)[0]), line))
-    report.event_trace = trace
-    return report
+        lat = latency_stats_ms(latencies)
+        report.mean_latency_ms = lat["mean"]
+        report.p99_latency_ms = lat["p99"]
+
+        trace = injector.trace + stats.events + reclaimed + failures
+        trace.sort(key=lambda line: (int(line.split(" ", 1)[0]), line))
+        report.event_trace = trace
+        return report

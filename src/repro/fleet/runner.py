@@ -119,7 +119,8 @@ class ServiceProfile:
         from repro.api import run as api_run
         pair_ns: Dict[Tuple[str, str], int] = {}
         for workload, transport in sorted(set(pairs)):
-            result = api_run(workload, transport, seed=seed, scale=scale)
+            result = api_run(workload, transport=transport, seed=seed,
+                             scale=scale)
             pair_ns[(workload, transport)] = result.latency_ns
         return cls(pair_ns=pair_ns, sigma=sigma, kind="calibrated")
 

@@ -20,8 +20,9 @@ from repro.platform.dag import FunctionSpec, Workflow
 from repro.runtime.values import MLModelValue
 from repro.units import MB, us
 from repro.workloads.data import make_images
-from repro.workloads.ml_training import (binary_labels, images_to_matrix,
-                                         pca_transform, predict_margins)
+from repro.workloads.ml_training import (binary_labels, freeze_tree,
+                                         images_to_matrix, pca_transform,
+                                         predict_margins)
 
 PREDICT_WIDTH = 16
 DEFAULT_IMAGES = 640
@@ -83,8 +84,13 @@ _MODEL_CACHE = {}
 
 
 def _cached_model(key, **kwargs) -> MLModelValue:
+    """The memoized reference model; its tree arrays are read-only, and
+    callers wrap the shared trees in a model of their own."""
     if key not in _MODEL_CACHE:
-        _MODEL_CACHE[key] = train_reference_model(**kwargs)
+        model = train_reference_model(**kwargs)
+        for tree in model.trees:
+            freeze_tree(tree)
+        _MODEL_CACHE[key] = model
     return _MODEL_CACHE[key]
 
 
@@ -98,9 +104,11 @@ def load_model(ctx):
     n_trees = ctx.params.get("n_trees", 64)
     model_nodes = ctx.params.get("model_nodes", 4800)
     seed = ctx.params.get("seed", 0)
-    model = _cached_model((n_components, n_trees, seed, model_nodes),
-                          n_components=n_components, n_trees=n_trees,
-                          seed=seed, pad_nodes=model_nodes)
+    cached = _cached_model((n_components, n_trees, seed, model_nodes),
+                           n_components=n_components, n_trees=n_trees,
+                           seed=seed, pad_nodes=model_nodes)
+    model = MLModelValue(cached.trees, n_features=cached.n_features,
+                         n_classes=cached.n_classes)
     ctx.charge_compute(model.n_trees * us(20))  # model decode cost
     return model
 

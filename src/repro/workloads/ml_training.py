@@ -13,6 +13,7 @@ sensitivity analysis does (Fig 13a).
 
 from __future__ import annotations
 
+import hashlib
 from typing import List, Tuple
 
 import numpy as np
@@ -71,14 +72,37 @@ def reference_basis(n_components: int, side: int = 28,
     (feature extraction, training, validation, serving) must project onto
     the *same* basis; it is fit once on a fixed reference sample — the
     moral equivalent of shipping the fitted scikit-learn transformer with
-    the model.
+    the model.  The cached arrays are shared by every caller, so they are
+    read-only.
     """
     key = (n_components, side, seed)
     if key not in _BASIS_CACHE:
         images, _ = make_images(n_images=300, side=side, seed=seed)
         matrix = images_to_matrix(images)
-        _BASIS_CACHE[key] = fit_pca(matrix, n_components)
+        basis = fit_pca(matrix, n_components)
+        for arr in basis:
+            arr.setflags(write=False)
+        _BASIS_CACHE[key] = basis
     return _BASIS_CACHE[key]
+
+
+def freeze_tree(tree: TreeValue) -> TreeValue:
+    """Mark *tree*'s node arrays read-only (for memoized, shared
+    trees) and return it."""
+    for arr in (tree.feature, tree.threshold, tree.left, tree.right,
+                tree.value):
+        arr.setflags(write=False)
+    return tree
+
+
+def _arrays_digest(*arrays: np.ndarray) -> str:
+    """A digest of the full contents, dtype and shape of *arrays*."""
+    h = hashlib.sha256()
+    for arr in arrays:
+        arr = np.ascontiguousarray(arr)
+        h.update(f"{arr.dtype.str}{arr.shape}".encode())
+        h.update(arr.data)
+    return h.hexdigest()
 
 
 def grow_tree(features: np.ndarray, residual: np.ndarray,
@@ -195,16 +219,16 @@ def _boost_trees(feats: np.ndarray, target: np.ndarray, n_trees: int,
                  instance_index: int) -> List[TreeValue]:
     """Gradient-boost *n_trees* trees (deterministic per instance seed).
 
-    Memoized: the result is a pure function of its inputs, and workloads
-    re-train identically under every transport, so caching only removes
-    redundant host CPU — the simulated compute charge is unaffected.
+    Memoized on the full contents of *feats* and *target*: the result is
+    a pure function of its inputs, and workloads re-train identically
+    under every transport, so caching only removes redundant host CPU —
+    the simulated compute charge is unaffected.  The cached trees are
+    read-only; each call gets its own list.
     """
-    key = (instance_index, n_trees, feats.shape,
-           float(feats[0, 0]) if feats.size else 0.0,
-           float(target.sum()))
+    key = (instance_index, n_trees, _arrays_digest(feats, target))
     cached = _TREE_CACHE.get(key)
     if cached is not None:
-        return cached
+        return list(cached)
     rng = np.random.default_rng(1000 + instance_index)
     margins = np.zeros(len(target))
     trees: List[TreeValue] = []
@@ -215,7 +239,7 @@ def _boost_trees(feats: np.ndarray, target: np.ndarray, n_trees: int,
         trees.append(tree)
         margins += lr * np.array([tree.predict(x) for x in feats])
     if len(_TREE_CACHE) < 64:
-        _TREE_CACHE[key] = trees
+        _TREE_CACHE[key] = tuple(freeze_tree(tree) for tree in trees)
     return trees
 
 

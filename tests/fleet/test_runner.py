@@ -40,6 +40,14 @@ class TestServiceProfile:
         profile = ServiceProfile(pair_ns={("w", "t"): 5})
         assert profile.to_dict()["pair_ns"] == {"w/t": 5}
 
+    def test_calibrated_measures_each_pair_through_the_run_facade(self):
+        from repro.api import run
+        profile = ServiceProfile.calibrated([("wordcount", "rmmap")],
+                                            scale=0.02)
+        assert profile.kind == "calibrated"
+        measured = run("wordcount", transport="rmmap", seed=0, scale=0.02)
+        assert profile.mean_ns("wordcount", "rmmap") == measured.latency_ns
+
 
 class TestSmokeRun:
     def test_result_is_byte_identical_at_the_same_seed(self, smoke_result):

@@ -11,7 +11,7 @@ runs inside fleet runs, raised exceptions, even explicit ``install`` /
 import pytest
 
 from repro import obs
-from repro.api import RunConfig, run
+from repro.api import run
 from repro.chaos.runner import run_chaos_workflow
 
 SCALE = 0.02
@@ -97,13 +97,14 @@ class TestFacadeComposition:
             telemetry=True)
         assert obs.current() is None
 
-    def test_facade_chaos_config_does_not_leak(self):
-        cfg = RunConfig(workload="ml-prediction",
-                        transport="rmmap-prefetch", seed=1, scale=SCALE,
-                        chaos={"requests": 2, "n_machines": 4},
-                        telemetry=True)
-        run_chaos_workflow(cfg)
+    def test_chaos_monitor_without_hub_does_not_leak(self):
+        """A monitored chaos drill with no hub installed captures its
+        own for the run and uninstalls it on exit."""
+        monitor = obs.FleetMonitor()
+        run_chaos_workflow("ml-prediction", seed=1, requests=2,
+                           n_machines=4, scale=SCALE, monitor=monitor)
         assert obs.current() is None
+        assert monitor.observed > 0
 
     def test_failed_run_does_not_leak(self):
         with pytest.raises(ValueError):

@@ -12,8 +12,11 @@ bit-identical with lineage on or off.
 
 import pytest
 
+from repro import obs
 from repro.api import run, run_fleet
+from repro.chaos.runner import run_chaos_workflow
 from repro.obs import LINEAGE_SCHEMA, LineageTracker
+from repro.transfer import get_transport
 from repro.units import PAGE_SIZE
 
 SCALE = 0.02
@@ -210,7 +213,15 @@ def test_fleet_json_is_bit_identical_with_lineage_on_and_off():
 
 
 def test_chaos_fingerprint_is_identical_with_lineage_on_and_off():
-    on = run("wordcount", chaos={"requests": 2, "n_machines": 4},
-             lineage=True)
-    off = run("wordcount", chaos={"requests": 2, "n_machines": 4})
-    assert on.chaos_report.fingerprint() == off.chaos_report.fingerprint()
+    def drill():
+        return run_chaos_workflow(
+            "wordcount", requests=2, n_machines=4,
+            transport_factory=lambda: get_transport("rmmap"))
+
+    hub = obs.Telemetry()
+    hub.enable_lineage()
+    with obs.capture(hub):
+        on = drill()
+    off = drill()
+    assert hub.lineage.report()["totals"]["bytes_moved"] > 0
+    assert on.fingerprint() == off.fingerprint()

@@ -160,10 +160,10 @@ def test_triage_report_is_json_ready_and_renders(chaos_report):
 
 
 def test_triage_requires_a_monitor():
-    from repro.api import RunResult
+    from repro.api import run
 
-    result = RunResult(workload="w", transport="t", seed=0,
-                       telemetry=Telemetry())
+    result = run("wordcount", transport="rmmap", scale=0.02,
+                 telemetry=True)
     with pytest.raises(ValueError, match="monitor"):
         result.triage()
 

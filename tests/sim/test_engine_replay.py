@@ -16,9 +16,12 @@ import pytest
 
 import repro.fleet.runner as fleet_runner
 import repro.platform.cluster as cluster_mod
+from repro import obs
 from repro.api import run
+from repro.chaos.runner import run_chaos_workflow
 from repro.sim.engine import _KIND_NAMES, _RESUME, _TRIGGER, Engine
 from repro.errors import SimulationError
+from repro.transfer import get_transport
 
 SCALE = 0.02
 WORKLOADS = ("finra", "ml-prediction", "ml-training", "wordcount")
@@ -122,12 +125,16 @@ def _facade_pair(monkeypatch, workload, transport, chaos):
     for label, engine_cls in (("optimized", Engine),
                               ("reference", ReferenceEngine)):
         monkeypatch.setattr(cluster_mod, "Engine", engine_cls)
-        kwargs = dict(seed=0, scale=SCALE, telemetry=True)
         if chaos:
-            kwargs["chaos"] = {"requests": 2, "n_machines": 4}
-        result = run(workload, transport=transport, **kwargs)
-        out[label] = (result,
-                      result.telemetry.snapshot(deterministic=True))
+            with obs.capture() as hub:
+                result = run_chaos_workflow(
+                    workload, seed=0, scale=SCALE, requests=2, n_machines=4,
+                    transport_factory=lambda: get_transport(transport))
+        else:
+            result = run(workload, transport=transport, seed=0,
+                         scale=SCALE, telemetry=True)
+            hub = result.telemetry
+        out[label] = (result, hub.snapshot(deterministic=True))
     return out
 
 
@@ -147,8 +154,7 @@ def test_chaos_replays_identically(monkeypatch, workload, transport):
     pair = _facade_pair(monkeypatch, workload, transport, chaos=True)
     opt, opt_snap = pair["optimized"]
     ref, ref_snap = pair["reference"]
-    assert (opt.chaos_report.fingerprint()
-            == ref.chaos_report.fingerprint())
+    assert opt.fingerprint() == ref.fingerprint()
     assert opt_snap == ref_snap
 
 

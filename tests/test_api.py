@@ -125,17 +125,6 @@ def test_run_accepts_transport_instance_and_param_overrides():
     assert result.params["n_bytes"] == 128 << 10
 
 
-def test_run_chaos_delegates_to_chaos_runner():
-    result = run("wordcount", transport="rmmap-prefetch", scale=0.02, seed=1,
-                 chaos={"requests": 2, "n_machines": 4})
-    report = result.chaos_report
-    assert report is not None
-    assert report.completed + report.failed == 2
-    assert report.leaked_frames == 0
-    with pytest.raises(ValueError):
-        result.latency_ns  # no single record under chaos
-
-
 def test_write_trace_requires_telemetry(tmp_path):
     result = run("wordcount", transport="messaging", scale=SCALE)
     with pytest.raises(ValueError, match="telemetry"):

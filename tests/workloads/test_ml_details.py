@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.workloads import ml_training
 from repro.workloads.data import make_images
-from repro.workloads.ml_prediction import _pad_tree, train_reference_model
-from repro.workloads.ml_training import (binary_labels, fit_pca, grow_tree,
+from repro.workloads.ml_prediction import (_pad_tree, load_model,
+                                           train_reference_model)
+from repro.workloads.ml_training import (_boost_trees, binary_labels,
+                                         fit_pca, grow_tree,
                                          images_to_matrix, pca_transform,
                                          predict_margins, reference_basis)
 
@@ -92,12 +95,62 @@ def test_predict_margins_vectorizes_over_rows():
 
 
 def test_tree_cache_returns_equal_results():
-    from repro.workloads.ml_training import _boost_trees
     rng = np.random.default_rng(4)
     feats = rng.normal(size=(128, 8))
     target = np.sign(feats[:, 0])
     first = _boost_trees(feats, target, 2, instance_index=0)
     second = _boost_trees(feats, target, 2, instance_index=0)
-    assert first is second  # memoized
+    assert second is not first  # each call gets its own list...
+    assert all(a is b for a, b in zip(first, second))  # ...of memo trees
     other = _boost_trees(feats, target, 2, instance_index=1)
-    assert other is not first
+    assert other != first
+
+
+def test_tree_cache_key_covers_every_row(monkeypatch):
+    """Inputs that agree on shape, row 0 and the target sum but differ
+    everywhere else must not share a memo entry."""
+    rng = np.random.default_rng(5)
+    feats = rng.normal(size=(128, 8))
+    target = np.sign(feats[:, 0])
+    _boost_trees(feats, target, 2, instance_index=0)
+    flipped = feats.copy()
+    flipped[1:] *= -1.0
+    got = _boost_trees(flipped, target, 2, instance_index=0)
+    monkeypatch.setattr(ml_training, "_TREE_CACHE", {})
+    fresh = _boost_trees(flipped, target, 2, instance_index=0)
+    assert got == fresh
+
+
+class _Ctx:
+    """The slice of a function context that ``load_model`` reads."""
+
+    def __init__(self, params):
+        self.params = params
+
+    def charge_compute(self, ns):
+        pass
+
+
+def test_cached_basis_is_read_only():
+    mean, comps = reference_basis(8)
+    with pytest.raises(ValueError):
+        mean[0] = 99.0
+    with pytest.raises(ValueError):
+        comps[0, 0] = 99.0
+    images, _ = make_images(n_images=300, side=28, seed=42)
+    fresh_mean, fresh_comps = fit_pca(images_to_matrix(images), 8)
+    again_mean, again_comps = reference_basis(8)
+    assert np.array_equal(again_mean, fresh_mean)
+    assert np.array_equal(again_comps, fresh_comps)
+
+
+def test_cached_model_is_not_shared_mutable_state():
+    params = {"n_components": 8, "n_trees": 4, "model_nodes": 0,
+              "seed": 0}
+    first = load_model(_Ctx(params))
+    with pytest.raises(ValueError):
+        first.trees[0].value[0] = 99.0
+    first.trees.append(first.trees[0])  # the caller's own model
+    second = load_model(_Ctx(params))
+    assert second == train_reference_model(n_components=8, n_trees=4,
+                                           seed=0)
